@@ -118,9 +118,14 @@ class DedupTable:
     first attempt was shed or expired before injection, in which case
     the entry is removed and a later retry starts fresh.
 
-    Eviction: committed entries are evicted oldest-first once the table
-    exceeds ``capacity``; pending entries are never evicted (they are
-    bounded by the service's own in-flight + backlog caps).
+    Eviction: committed entries are evicted oldest-created first once
+    the table exceeds ``capacity``; pending entries are never evicted.
+    Pending entries are bounded by the service's in-flight count plus
+    its backlog cap only when ``max_backlog`` is set (``None`` disables
+    shedding and with it that bound).  Each :meth:`create` walks the
+    table from its oldest entry without copying it, so eviction costs
+    O(pending entries ahead of the victims + entries evicted), not
+    O(capacity).
     """
 
     def __init__(self, capacity: int) -> None:
@@ -173,13 +178,18 @@ class DedupTable:
             entry.future.exception()
 
     def _evict(self) -> None:
-        if len(self._entries) <= self.capacity:
+        excess = len(self._entries) - self.capacity
+        if excess <= 0:
             return
-        for rid, entry in list(self._entries.items()):
+        # an OrderedDict must not change size while iterated: collect first
+        victims = []
+        for rid, entry in self._entries.items():
             if entry.committed:
-                del self._entries[rid]
-                if len(self._entries) <= self.capacity:
-                    return
+                victims.append(rid)
+                if len(victims) == excess:
+                    break
+        for rid in victims:
+            del self._entries[rid]
 
 
 @dataclass(frozen=True, slots=True)

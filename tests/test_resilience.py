@@ -4,7 +4,8 @@ Policy objects (`repro.serve.resilience`) are tested as pure units with
 injected clocks and seeded rngs; service-level behavior (deadlines,
 shedding, exactly-once dedup, graceful drain, the stranded-waiter
 regression) runs against a real :class:`CounterService` on a loopback
-socket.
+socket; the ledger-past-capacity tests also run the
+:class:`KeyedCounterService`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -25,6 +28,7 @@ from repro.serve import (
     CircuitBreaker,
     CounterService,
     DedupTable,
+    KeyedCounterService,
     ResilienceConfig,
     RetryBudget,
     RetryPolicy,
@@ -114,6 +118,115 @@ class TestDedupTable:
     def test_capacity_validated(self):
         with pytest.raises(ConfigurationError):
             DedupTable(capacity=0)
+
+    def test_whole_excess_evicted_in_one_create_once_committed(self):
+        table = DedupTable(capacity=2)
+        for rid in ("p1", "p2", "p3", "p4", "p5"):
+            table.create(rid, self._future())
+        assert len(table) == 5  # three over capacity, all pending
+        for rid in ("p1", "p2", "p3", "p4", "p5"):
+            table.commit(rid, 0)
+        table.create("n", self._future())
+        assert list(table._entries) == ["p5", "n"]  # four gone at once
+
+    def test_pending_head_skipped_committed_behind_it_evicted(self):
+        table = DedupTable(capacity=3)
+        for rid in ("p", "a", "b"):
+            table.create(rid, self._future())
+        table.commit("a", 0)
+        table.commit("b", 1)
+        table.create("c", self._future())
+        assert list(table._entries) == ["p", "b", "c"]
+        table.commit("c", 2)
+        table.create("d", self._future())
+        assert list(table._entries) == ["p", "c", "d"]
+
+    def test_failed_rid_never_counts_toward_eviction(self):
+        table = DedupTable(capacity=2)
+        table.create("a", self._future())
+        table.commit("a", 0)
+        table.create("f", self._future())
+        table.fail("f", OverloadedError("shed"))
+        table.create("b", self._future())
+        table.commit("b", 1)
+        assert list(table._entries) == ["a", "b"]  # nothing evicted
+        table.create("c", self._future())
+        assert list(table._entries) == ["b", "c"]
+
+
+class _ReferenceLedger:
+    """The copy-the-whole-table eviction :class:`DedupTable` used to run.
+
+    Kept as a model: the walk-without-copy eviction must pick exactly
+    the same victims in the same order.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}  # rid -> committed; dicts keep insertion order
+        self.committed_total = 0
+
+    def create(self, rid):
+        self.entries[rid] = False
+        if len(self.entries) <= self.capacity:
+            return
+        for old, committed in list(self.entries.items()):
+            if committed:
+                del self.entries[old]
+                if len(self.entries) <= self.capacity:
+                    return
+
+    def commit(self, rid):
+        if rid in self.entries:
+            self.entries[rid] = True
+            self.committed_total += 1
+
+    def fail(self, rid):
+        self.entries.pop(rid, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    capacity=st.integers(1, 6),
+    steps=st.lists(
+        st.tuples(
+            # fails are rarer so committed entries pile up past capacity
+            st.sampled_from(("create", "commit", "create", "commit", "fail")),
+            st.integers(0, 63),
+        ),
+        min_size=8,
+        max_size=40,
+    ),
+)
+def test_dedup_table_evicts_like_the_reference_model(capacity, steps):
+    """Creates take fresh rids; commit and fail pick a live one."""
+    table = DedupTable(capacity)
+    model = _ReferenceLedger(capacity)
+    loop = asyncio.new_event_loop()
+    try:
+        for number, (action, pick) in enumerate(steps):
+            live = list(model.entries)
+            if action == "create":
+                rid = f"r{number}"
+                table.create(rid, loop.create_future())
+                model.create(rid)
+            elif not live:
+                continue
+            elif action == "commit":
+                rid = live[pick % len(live)]
+                table.commit(rid, number)
+                model.commit(rid)
+            else:
+                rid = live[pick % len(live)]
+                table.fail(rid, OverloadedError("shed"))
+                model.fail(rid)
+            assert list(table._entries) == list(model.entries)
+            assert [e.committed for e in table._entries.values()] == list(
+                model.entries.values()
+            )
+            assert table.committed_total == model.committed_total
+    finally:
+        loop.close()
 
 
 class TestRetryPolicy:
@@ -395,6 +508,80 @@ class TestServiceDedup:
         assert sorted(values) == [0, 1, 2, 3]
         assert stats["rid_committed"] == 4
         assert stats["deduped"] == 0
+
+
+class TestServiceDedupPastCapacity:
+    """Both services drive their ledger far past ``dedup_capacity``."""
+
+    CAPACITY = 8
+    CALLERS = 6
+    RIDS_PER_CALLER = 7  # 42 distinct rids through an 8-entry ledger
+    KEYS = ("k0", "k1", "k2")
+
+    def _drive(self, service, keyed):
+        total = self.CALLERS * self.RIDS_PER_CALLER
+
+        def counts():
+            stats = service.stats()
+            return stats["served"], stats["deduped"]
+
+        async def go():
+            created = []  # rids in the order their ledger entries were made
+            key_of = {}
+            value_of = {}
+            returned = {}  # key -> every value a fresh inc returned
+
+            async def inc(rid):
+                # inc makes the ledger entry before its first await, so
+                # appending here records the creation order
+                created.append(rid)
+                if keyed:
+                    return await service.inc(key_of[rid], rid=rid)
+                return await service.inc(rid=rid)
+
+            async def caller(c):
+                for i in range(self.RIDS_PER_CALLER):
+                    rid = f"c{c}.{i}"
+                    key_of[rid] = self.KEYS[(c + i) % len(self.KEYS)]
+                    value_of[rid] = await inc(rid)
+                    returned.setdefault(key_of[rid], []).append(value_of[rid])
+
+            await service.start()
+            try:
+                await asyncio.gather(*(caller(c) for c in range(self.CALLERS)))
+                assert counts() == (total, 0)
+                # the newest rid is still in the ledger: a retry dedups
+                newest = created[-1]
+                assert await inc(newest) == value_of[newest]
+                assert counts() == (total, 1)
+                # the oldest rid was evicted long ago: a retry is new work
+                oldest = created[0]
+                returned[key_of[oldest]].append(await inc(oldest))
+                assert counts() == (total + 1, 1)
+            finally:
+                await service.stop()
+            if not keyed:  # one counter behind every key
+                returned = {"": [v for vs in returned.values() for v in vs]}
+            for values in returned.values():
+                assert sorted(values) == list(range(len(values)))
+
+        asyncio.run(go())
+
+    def test_keyed_service(self):
+        service = KeyedCounterService(
+            "central",
+            4,
+            port=0,
+            shards=2,
+            resilience=ResilienceConfig(dedup_capacity=self.CAPACITY),
+        )
+        self._drive(service, keyed=True)
+
+    def test_unkeyed_service(self):
+        service = _service(
+            resilience=ResilienceConfig(dedup_capacity=self.CAPACITY)
+        )
+        self._drive(service, keyed=False)
 
 
 class TestServiceLifecycle:

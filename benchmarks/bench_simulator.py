@@ -3,72 +3,37 @@
 Not a paper claim — the measurement instrument itself.  These keep the
 substrate's performance visible so the experiment sweeps stay cheap:
 event-queue ops, message round-trips, and a full k=3 one-shot workload
-per invocation.
+per invocation.  The micro-benchmark bodies come from :mod:`repro.bench`,
+which ``python -m repro bench`` times with the same code.
 """
 
 from __future__ import annotations
 
+from repro.bench import event_queue_churn, message_blast, session_build, spec_resolution
 from repro.registry import parse_spec
-from repro.sim.events import EventQueue
 from repro.sim.network import Network
-from repro.sim.processor import InertProcessor
 from repro.sim.trace import TraceLevel
 from repro.workloads import one_shot, run_sequence
 
 
-def _blast_network(trace_level: TraceLevel) -> Network:
-    network = Network(trace_level=trace_level)
-    network.register_all([InertProcessor(pid) for pid in range(1, 17)])
-    return network
-
-
 def test_event_queue_throughput(benchmark):
     """Schedule + pop 1000 events."""
-
-    def churn():
-        queue = EventQueue()
-        for index in range(1000):
-            queue.schedule((index * 7) % 13 + 0.5, lambda: None)
-        while queue:
-            queue.run_next()
-
-    benchmark(churn)
+    benchmark(event_queue_churn())
 
 
 def test_message_throughput(benchmark):
     """Deliver 1000 point-to-point messages under FULL tracing."""
-    network = _blast_network(TraceLevel.FULL)
-
-    def blast():
-        for index in range(1000):
-            network.send((index % 16) + 1, ((index + 7) % 16) + 1, "m", {})
-        network.run_until_quiescent()
-
-    benchmark(blast)
+    benchmark(message_blast(TraceLevel.FULL))
 
 
 def test_message_throughput_loads(benchmark):
     """Deliver 1000 point-to-point messages under LOADS tracing."""
-    network = _blast_network(TraceLevel.LOADS)
-
-    def blast():
-        for index in range(1000):
-            network.send((index % 16) + 1, ((index + 7) % 16) + 1, "m", {})
-        network.run_until_quiescent()
-
-    benchmark(blast)
+    benchmark(message_blast(TraceLevel.LOADS))
 
 
 def test_message_throughput_off(benchmark):
     """Deliver 1000 point-to-point messages with tracing OFF."""
-    network = _blast_network(TraceLevel.OFF)
-
-    def blast():
-        for index in range(1000):
-            network.send((index % 16) + 1, ((index + 7) % 16) + 1, "m", {})
-        network.run_until_quiescent()
-
-    benchmark(blast)
+    benchmark(message_blast(TraceLevel.OFF))
 
 
 def test_central_counter_oneshot(benchmark):
@@ -97,27 +62,9 @@ def test_tree_counter_oneshot(benchmark):
 
 def test_registry_spec_resolution(benchmark):
     """Parse + canonicalize every registered spec (the sweep hot path)."""
-    from repro.registry import registered_names
-
-    specs = [
-        *registered_names(),
-        "combining-tree?arity=4&window=3.0",
-        "ww-tree?interval_mode=wrap",
-        "diffracting-tree?prism_size=8&seed=7",
-    ]
-
-    def resolve():
-        for text in specs:
-            parse_spec(text).canonical
-
-    benchmark(resolve)
+    benchmark(spec_resolution())
 
 
 def test_registry_session_construction(benchmark):
     """RunSession assembly (policy + network + counter) for the ww-tree."""
-    from repro.registry import RunSession
-
-    def build():
-        RunSession("ww-tree", 81)
-
-    benchmark(build)
+    benchmark(session_build())

@@ -4,8 +4,7 @@ Times the hot paths directly (no pytest-benchmark dependency at run
 time) so CI and developers get one comparable artifact:
 
 * event-queue schedule+pop throughput;
-* message delivery throughput at every :class:`TraceLevel`, on both the
-  table-driven fast core and the compatible heapq core, with the
+* message delivery throughput at every :class:`TraceLevel`, with the
   speedup over the seed's FULL-tracing baseline;
 * counter-registry spec resolution and RunSession construction rates;
 * wall time of a small E7-style sweep, serial vs parallel;
@@ -14,7 +13,7 @@ time) so CI and developers get one comparable artifact:
 * a crash-recovery smoke grid (central[standby] under a mid-run
   primary crash) with failover latency and bottleneck overhead;
 * a ``large_n`` grid: ww-tree one-shot runs at n = 10^4 and 10^5,
-  million-event territory that only the fast core makes routine;
+  million-event territory that the bucket event queue makes routine;
 * a ``serving`` grid: wall-clock rate sweeps against a live TCP
   counter service (asyncio runtime, scaled simulated delays) with
   p50/p99 latency per offered rate and the detected saturation knee;
@@ -30,6 +29,11 @@ time) so CI and developers get one comparable artifact:
 Grids are individually selectable (``repro bench --grid messages``)
 and every report is stamped with the git SHA and an ISO-8601 UTC
 timestamp so archived artifacts are traceable to a commit.
+
+The micro-benchmark bodies (:func:`event_queue_churn`,
+:func:`message_blast`, :func:`spec_resolution`,
+:func:`session_build`) are shared with the pytest-benchmark suite in
+``benchmarks/bench_simulator.py``, so both report on the same work.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import sys
 import time
 
 from repro.registry import RunSession, parse_spec, registered_names
-from repro.sim.events import EventQueue, FlatEventQueue
+from repro.sim.events import EventQueue
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
 from repro.sim.trace import TraceLevel
@@ -86,29 +90,23 @@ def git_sha() -> str | None:
     return out.stdout.strip() or None
 
 
-def bench_event_queue(events: int = 1000, core: str = "compat") -> float:
-    """Mirror of ``test_event_queue_throughput`` in bench_simulator.py."""
-    queue_type = FlatEventQueue if core == "fast" else EventQueue
+def event_queue_churn(events: int = 1000):
+    """Body: schedule *events* no-op events on a fresh queue, run them all."""
 
     def churn():
-        queue = queue_type()
+        queue = EventQueue()
         for index in range(events):
             queue.schedule((index * 7) % 13 + 0.5, lambda: None)
         while queue:
             queue.run_next()
 
-    return _best_rate(churn, 2 * events)  # schedule + pop each count
+    return churn
 
 
-def bench_messages(
-    level: TraceLevel, messages: int = 1000, core: str = "fast"
-) -> float:
-    """Mirror of ``test_message_throughput*`` in bench_simulator.py.
-
-    The blast size matches the benchmark suite (and the seed baseline
-    measurement) so the speedup ratios are apples to apples.
-    """
-    network = Network(trace_level=level, core=core)
+def message_blast(level: TraceLevel, messages: int = 1000):
+    """Body: deliver *messages* point-to-point messages among 16 inert
+    processors on one long-lived network at tracing *level*."""
+    network = Network(trace_level=level)
     network.register_all([InertProcessor(pid) for pid in range(1, 17)])
 
     def blast():
@@ -117,34 +115,67 @@ def bench_messages(
             send((index % 16) + 1, ((index + 7) % 16) + 1, "m", {})
         network.run_until_quiescent()
 
-    return _best_rate(blast, messages)
+    return blast
+
+
+SPEC_TEXTS = (
+    *registered_names(),
+    "combining-tree?arity=4&window=3.0",
+    "ww-tree?interval_mode=wrap",
+    "diffracting-tree?prism_size=8&seed=7",
+)
+"""Every registered spec plus tunable variants: the sweep hot path."""
+
+
+def spec_resolution():
+    """Body: parse + canonicalize every text in :data:`SPEC_TEXTS`."""
+
+    def resolve():
+        for text in SPEC_TEXTS:
+            parse_spec(text).canonical
+
+    return resolve
+
+
+def session_build(n: int = 81):
+    """Body: assemble one ww-tree :class:`RunSession` (policy, network,
+    counter)."""
+
+    def build():
+        RunSession("ww-tree", n)
+
+    return build
+
+
+def bench_event_queue(events: int = 1000) -> float:
+    """Event-queue ops/s (a schedule and a pop each count)."""
+    return _best_rate(event_queue_churn(events), 2 * events)
+
+
+def bench_messages(level: TraceLevel, messages: int = 1000) -> float:
+    """Delivered messages/s at tracing *level*.
+
+    The blast size matches the seed baseline measurement, so the
+    speedup ratios are apples to apples.
+    """
+    return _best_rate(message_blast(level, messages), messages)
 
 
 def bench_spec_resolution() -> float:
-    """Mirror of ``test_registry_spec_resolution`` in bench_simulator.py."""
-    specs = [
-        *registered_names(),
-        "combining-tree?arity=4&window=3.0",
-        "ww-tree?interval_mode=wrap",
-        "diffracting-tree?prism_size=8&seed=7",
-    ]
-
-    def resolve():
-        for text in specs:
-            parse_spec(text).canonical
-
-    return _best_rate(resolve, len(specs))
+    """Spec resolutions/s."""
+    return _best_rate(spec_resolution(), len(SPEC_TEXTS))
 
 
 def bench_session_construction(n: int = 81) -> float:
-    """Mirror of ``test_registry_session_construction``: sessions/s."""
+    """ww-tree RunSession constructions/s."""
     sessions = 20
+    build = session_build(n)
 
-    def build():
+    def build_many():
         for _ in range(sessions):
-            RunSession("ww-tree", n)
+            build()
 
-    return _best_rate(build, sessions, repeats=10)
+    return _best_rate(build_many, sessions, repeats=10)
 
 
 def bench_fault_transport(
@@ -331,7 +362,7 @@ def bench_sweep(workers: int) -> float:
 
 
 def bench_large_n(sizes: tuple[int, ...] = (10_000, 100_000)) -> dict:
-    """ww-tree one-shot runs at large n on the fast core, OFF tracing.
+    """ww-tree one-shot runs at large n, OFF tracing.
 
     Each point is a single cold run (no repeat loop — these are
     multi-second, million-event simulations): build the session, run
@@ -356,7 +387,7 @@ def bench_large_n(sizes: tuple[int, ...] = (10_000, 100_000)) -> dict:
             "events_per_s": round(events / run_s),
         }
     return {
-        "grid": "ww-tree sequential one-shot, OFF tracing, fast core, "
+        "grid": "ww-tree sequential one-shot, OFF tracing, "
         "single cold run per point",
         "note": "every returned value asserted correct; events include "
         "message deliveries and local timer callbacks",
@@ -597,23 +628,16 @@ def build_report(grids: tuple[str, ...] = GRIDS) -> dict:
     }
     if "queue" in grids:
         _grid_boundary()
-        report["event_queue_ops_per_s"] = {
-            "fast": round(bench_event_queue(core="fast")),
-            "compat": round(bench_event_queue(core="compat")),
-        }
+        report["event_queue_ops_per_s"] = round(bench_event_queue())
     if "messages" in grids:
         _grid_boundary()
         rates = {
-            core: {
-                "full": bench_messages(TraceLevel.FULL, core=core),
-                "loads": bench_messages(TraceLevel.LOADS, core=core),
-                "off": bench_messages(TraceLevel.OFF, core=core),
-            }
-            for core in ("fast", "compat")
+            "full": bench_messages(TraceLevel.FULL),
+            "loads": bench_messages(TraceLevel.LOADS),
+            "off": bench_messages(TraceLevel.OFF),
         }
         report["messages_per_s"] = {
-            core: {level: round(rate) for level, rate in levels.items()}
-            for core, levels in rates.items()
+            level: round(rate) for level, rate in rates.items()
         }
         report["seed_reference"] = {
             "full_msgs_per_s": SEED_FULL_MSGS_PER_S,
@@ -622,7 +646,7 @@ def build_report(grids: tuple[str, ...] = GRIDS) -> dict:
         }
         report["speedup_vs_seed_full"] = {
             level: round(rate / SEED_FULL_MSGS_PER_S, 2)
-            for level, rate in rates["fast"].items()
+            for level, rate in rates.items()
         }
     if "registry" in grids:
         _grid_boundary()

@@ -3,66 +3,53 @@
 The simulator is a classic discrete-event loop.  Two facts matter for
 reproducibility:
 
-* ties in time are broken by a monotonically increasing sequence number, so
-  two runs with the same seed pop events in exactly the same order;
+* ties in time are broken by scheduling order (FIFO), so two runs with
+  the same seed execute events in exactly the same order;
 * events carry plain callables, so the queue knows nothing about messages —
   message semantics live entirely in :mod:`repro.sim.network`.
 
-Internally the heap stores plain ``(time, seq, action, arg)`` tuples
-rather than :class:`Event` objects: tuple allocation and comparison are
-the per-event cost of the whole simulator, and ``seq`` is unique, so the
-comparison never reaches the callable.  :class:`Event` remains the public
-view type returned by :meth:`EventQueue.schedule` and
-:meth:`EventQueue.pop`.
-
-The ``arg`` slot is the zero-overhead delivery path: the network
-schedules ``(deliver, message)`` directly instead of wrapping a closure
-per message.  Entries scheduled through the plain :meth:`EventQueue.schedule`
-API carry a sentinel and are invoked with no argument.
+:class:`EventQueue` is a bucket (calendar) queue keyed by timestamp:
+entries live in per-timestamp buckets (plain lists), and a heap orders
+only the *distinct* pending timestamps.  Within a bucket, append order
+is scheduling order, and buckets drain in time order, so the total
+order is exactly ``(time, scheduling order)``.
+The network's delivery handler is *bound* to the queue, so a message
+rides bare in its bucket — no per-event tuple or closure; every other
+entry is wrapped in a 2-slot :class:`_Local`.
 
 A :class:`SchedulerHook` may be installed to take over tie-breaking:
-whenever more than one entry shares the minimum timestamp, the hook
-chooses which one runs next instead of the default FIFO-by-``seq``
-order.  The clean path pays a single ``is None`` check per
-:meth:`EventQueue.run_many` call; the hooked path keeps the current
-time's candidates in a persistent *ready* buffer, so unchosen entries
-are not re-pushed through the heap on every pop.  :meth:`EventQueue.clear`
-drops any installed hook so a reused queue cannot leak one exploration's
-tie-break state into the next.
-
-:class:`FlatEventQueue` is the table-driven fast core behind
-``Network(core="fast")``: a bucket (calendar) queue keyed by timestamp
-with recycled bucket storage, a heap over *distinct* times only, and
-bare payload items instead of per-event tuples.  It executes events in
-exactly the order :class:`EventQueue` would — asserted by the
-equivalence suites — but does not support scheduler hooks; hooked runs
-route through the compatible heap queue.
+whenever more than one entry shares the current timestamp, the hook
+chooses which one runs next instead of the default FIFO order.  Clean
+runs pay one ``is None`` check per drain batch (the network's fused
+loops) or per event (single steps); :meth:`EventQueue.clear` drops any
+installed hook so a reused queue cannot leak one exploration's
+tie-break state into the next.  :class:`Event` is the public view type
+returned by :meth:`EventQueue.schedule` and :meth:`EventQueue.pop`.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ConfigurationError
-
 _NO_ARG = object()
-"""Sentinel marking a heap entry whose action takes no argument."""
+"""Sentinel marking an entry whose action takes no argument."""
 
 
 class SchedulerHook:
     """Tie-break arbiter for equal-time events (duck-typed interface).
 
     Install one with :meth:`EventQueue.install_hook`.  Whenever two or
-    more pending entries share the minimum timestamp, the queue calls
-    :meth:`choose` with the ready list (raw ``(time, seq, action, arg)``
-    heap entries in ``seq`` order — the order the default scheduler
-    would have used) and runs the entry at the returned index.  Message
-    deliveries carry the :class:`~repro.sim.messages.Message` in the
-    ``arg`` slot, so a hook can make informed choices; plain callbacks
-    carry a private sentinel there and should be treated as opaque.
+    more pending entries share the current timestamp, the queue calls
+    :meth:`choose` with the ready list — ``(time, seq, action, arg)``
+    tuples in scheduling order, the order the default scheduler would
+    have used — and runs the entry at the returned index.  ``seq`` is
+    the entry's position in its time bucket (monotone in scheduling
+    order).  Message deliveries carry the
+    :class:`~repro.sim.messages.Message` in the ``arg`` slot, so a hook
+    can make informed choices; plain callbacks carry a private sentinel
+    there and should be treated as opaque.
 
     ``choose`` must return an index in ``range(len(ready))``; anything
     else raises ``IndexError`` at pop time.  Hooks see only *ordering*
@@ -87,202 +74,19 @@ class Event:
     action: Callable[[], None] = field(compare=False)
 
 
-class EventQueue:
-    """A deterministic min-heap of scheduled actions.
+class _Local:
+    """Bucket entry for a generically scheduled action (non-bound path).
 
-    The queue also tracks the current simulated time: popping an event
-    advances ``now`` to that event's timestamp.  Scheduling into the past
-    is a programming error and raises ``ValueError``.
+    The queue stores the bound action's arguments *bare* in its buckets;
+    every other entry is wrapped in one of these so the drain loop can
+    tell the two apart with a single ``type(item) is _Local`` check.
     """
 
-    __slots__ = ("_heap", "_counter", "_now", "_hook", "_ready")
+    __slots__ = ("action", "arg")
 
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[..., None], Any]] = []
-        self._counter = itertools.count()
-        self._now = 0.0
-        self._hook: SchedulerHook | None = None
-        # Persistent frontier buffer for the hooked path: entries sharing
-        # the current minimum timestamp, in seq order.  Always empty when
-        # no hook is installed.
-        self._ready: list[tuple[float, int, Callable[..., None], Any]] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (time of the last popped event)."""
-        return self._now
-
-    @property
-    def scheduler_hook(self) -> SchedulerHook | None:
-        """The installed tie-break hook, or ``None`` (default FIFO)."""
-        return self._hook
-
-    def install_hook(self, hook: SchedulerHook | None) -> None:
-        """Install (or with ``None`` remove) a tie-break arbiter.
-
-        While installed, every pop that finds several entries sharing
-        the minimum time asks ``hook.choose(ready)`` which runs first.
-        The hook is dropped by :meth:`clear` — a reused queue always
-        starts with default FIFO tie-breaking.
-        """
-        self._hook = hook
-        if hook is None and self._ready:
-            # Return the buffered frontier to the heap so the clean loop
-            # sees every pending entry again.
-            heap = self._heap
-            for entry in self._ready:
-                heapq.heappush(heap, entry)
-            self._ready.clear()
-
-    def __len__(self) -> int:
-        return len(self._heap) + len(self._ready)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap) or bool(self._ready)
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
-        """Schedule *action* to run *delay* time units from now.
-
-        Returns the scheduled :class:`Event` (useful in tests).  A zero
-        delay is allowed and preserves scheduling order among same-time
-        events.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = next(self._counter)
-        heapq.heappush(self._heap, (time, seq, action, _NO_ARG))
-        return Event(time=time, seq=seq, action=action)
-
-    def schedule_call(self, delay: float, action: Callable[[Any], None], arg: Any) -> None:
-        """Fast path: schedule ``action(arg)`` without wrapping a closure.
-
-        This is what the network uses for message delivery — the message
-        rides in the heap entry itself, so a send allocates no lambda and
-        no :class:`Event` object.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(
-            self._heap, (self._now + delay, next(self._counter), action, arg)
-        )
-
-    def _pop_entry(self) -> tuple[float, int, Callable[..., None], Any]:
-        """Pop the next entry, honoring the tie-break hook if installed.
-
-        The hooked path keeps the candidates sharing the minimum
-        timestamp in the persistent ``_ready`` buffer (in ``seq`` order,
-        i.e. default-scheduler order): each pop merges any newly
-        scheduled equal-time entries from the heap, lets the hook pick
-        one, and leaves the rest buffered — unchosen entries are never
-        re-pushed through the heap.  New entries always carry a higher
-        ``seq`` than everything buffered, and nothing can be scheduled
-        before ``now``, so the buffer stays in seq order and the
-        frontier time stays minimal until it drains.  Without a hook —
-        or with a single ready entry — this is a plain heappop.
-        """
-        heap = self._heap
-        ready = self._ready
-        if not ready:
-            first = heapq.heappop(heap)
-            if self._hook is None or not heap or heap[0][0] != first[0]:
-                return first
-            ready.append(first)
-        time = ready[0][0]
-        while heap and heap[0][0] == time:
-            ready.append(heapq.heappop(heap))
-        if len(ready) == 1:
-            return ready.pop()
-        return ready.pop(self._hook.choose(ready))
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event, advancing ``now``."""
-        time, seq, action, arg = self._pop_entry()
-        self._now = time
-        if arg is not _NO_ARG:
-            action = _bind(action, arg)
-        return Event(time=time, seq=seq, action=action)
-
-    def run_next(self) -> None:
-        """Pop the earliest event and execute its action."""
-        time, _, action, arg = self._pop_entry()
-        self._now = time
-        if arg is _NO_ARG:
-            action()
-        else:
-            action(arg)
-
-    def run_many(self, limit: int) -> int:
-        """Execute up to *limit* events in a tight loop; return how many ran.
-
-        This is the simulator's inner loop: locals for the heap and pop
-        function, one time-advance per event, no per-event bookkeeping
-        beyond the counter.  Callers (e.g.
-        :meth:`~repro.sim.network.Network.run_until_quiescent`) batch
-        their event-limit accounting around it.
-        """
-        if self._hook is not None:
-            return self._run_many_hooked(limit)
-        heap = self._heap
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        ran = 0
-        while heap and ran < limit:
-            time, _, action, arg = pop(heap)
-            self._now = time
-            ran += 1
-            if arg is no_arg:
-                action()
-            else:
-                action(arg)
-        return ran
-
-    def _run_many_hooked(self, limit: int) -> int:
-        """The :meth:`run_many` loop with hook-mediated tie-breaking.
-
-        Kept out of the clean loop so explorations pay for candidate
-        gathering but ordinary runs pay one ``is None`` check per batch.
-        """
-        heap = self._heap
-        ready = self._ready
-        no_arg = _NO_ARG
-        ran = 0
-        while (heap or ready) and ran < limit:
-            time, _, action, arg = self._pop_entry()
-            self._now = time
-            ran += 1
-            if arg is no_arg:
-                action()
-            else:
-                action(arg)
-        return ran
-
-    def next_time(self) -> float | None:
-        """Timestamp of the earliest pending entry, or ``None`` if empty.
-
-        A read-only peek — nothing is popped and ``now`` does not move.
-        The synchronous runtime uses this to delimit lockstep rounds.
-        """
-        if self._ready:
-            return self._ready[0][0]
-        if self._heap:
-            return self._heap[0][0]
-        return None
-
-    def clear(self) -> None:
-        """Drop all pending events and reset the queue to its initial state.
-
-        Simulated time returns to zero, the tie-break counter restarts,
-        and any installed :class:`SchedulerHook` is removed, so a cleared
-        queue is indistinguishable from a fresh one — a cleared-then-reused
-        queue must not report the stale time of a schedule it abandoned nor
-        replay a previous exploration's tie-break choices.
-        """
-        self._heap.clear()
-        self._ready.clear()
-        self._counter = itertools.count()
-        self._now = 0.0
-        self._hook = None
+    def __init__(self, action: Callable[..., None], arg: Any) -> None:
+        self.action = action
+        self.arg = arg
 
 
 def _bind(action: Callable[[Any], None], arg: Any) -> Callable[[], None]:
@@ -294,38 +98,19 @@ def _bind(action: Callable[[Any], None], arg: Any) -> Callable[[], None]:
     return call
 
 
-class _Local:
-    """Bucket entry for a generically scheduled action (non-bound path).
+class EventQueue:
+    """A deterministic bucket queue of scheduled actions.
 
-    The fast queue stores message payloads *bare* in its buckets; every
-    other entry is wrapped in one of these so the drain loop can tell
-    the two apart with a single ``type(item) is _Local`` check.
-    """
+    The queue also tracks the current simulated time: executing an entry
+    advances ``now`` to its timestamp.  Scheduling into the past is a
+    programming error and raises ``ValueError``.
 
-    __slots__ = ("action", "arg")
-
-    def __init__(self, action: Callable[..., None], arg: Any) -> None:
-        self.action = action
-        self.arg = arg
-
-
-class FlatEventQueue:
-    """Table-driven bucket queue: the fast core's event store.
-
-    Entries live in per-timestamp *buckets* (plain lists, recycled
-    through a free list instead of reallocated), and a heap orders only
-    the *distinct* pending timestamps — at most one bucket exists per
-    time, so the heap never compares beyond the float.  Appending to an
-    existing bucket replaces a ``heappush`` of a fresh 4-tuple with a
-    single ``list.append``, which is what makes constant-delay
-    workloads (the common case) cheap.
-
-    Execution order is identical to :class:`EventQueue`: within a
-    bucket, append order *is* ``seq`` order, and buckets drain in time
-    order, so the total order is exactly ``(time, seq)``.  Same-time
-    entries scheduled while a bucket drains are appended to the live
-    bucket and picked up in the same pass — the FIFO tie-break
-    :class:`EventQueue` provides by construction.
+    A bucket leaves the registry when it becomes *active* (its time is
+    now) and is consumed behind a cursor (``_active_pos``).  Same-time
+    entries scheduled while it drains open a fresh bucket at the same
+    time, which runs right after it — FIFO by construction.  A hooked
+    pop folds that fresh bucket into the active one first, so the hook
+    sees every entry sharing the current time.
 
     Two scheduling paths exist:
 
@@ -334,62 +119,55 @@ class FlatEventQueue:
       argument bare — zero per-event allocation;
     * every other entry is wrapped in a 2-slot :class:`_Local`.
 
-    Scheduler hooks are deliberately unsupported:
-    :meth:`~repro.sim.network.Network.install_scheduler_hook` migrates
-    pending entries to a compatible :class:`EventQueue` first.  The
-    :class:`Event` objects returned by :meth:`schedule` / :meth:`pop`
-    carry a synthetic (monotone, but queue-local) ``seq``.
+    The :class:`Event` objects returned by :meth:`schedule` /
+    :meth:`pop` carry a synthetic (monotone, queue-local) ``seq``.
     """
 
     __slots__ = (
         "_buckets",
         "_times",
-        "_free",
         "_active",
         "_active_pos",
         "_now",
         "_len",
         "_bound",
         "_seq",
+        "_hook",
     )
 
     def __init__(self) -> None:
         self._buckets: dict[float, list[Any]] = {}
         self._times: list[float] = []
-        self._free: list[list[Any]] = []
-        self._active: list[Any] | None = None
+        self._active: list[Any] | tuple = ()
         self._active_pos = 0
         self._now = 0.0
         self._len = 0
         self._bound: Callable[[Any], None] | None = None
         self._seq = 0
+        self._hook: SchedulerHook | None = None
 
     # ------------------------------------------------------------------
-    # Introspection (EventQueue API)
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Current simulated time (time of the last executed bucket)."""
+        """Current simulated time (time of the last executed entry)."""
         return self._now
 
     @property
     def scheduler_hook(self) -> SchedulerHook | None:
-        """Always ``None`` — the fast core never hosts a hook."""
-        return None
+        """The installed tie-break hook, or ``None`` (default FIFO)."""
+        return self._hook
 
     def install_hook(self, hook: SchedulerHook | None) -> None:
-        """Reject hooks: hooked runs belong on the compatible queue.
+        """Install (or with ``None`` remove) a tie-break arbiter.
 
-        ``None`` (removal) is accepted as a no-op so substrate-reset
-        paths can run unconditionally.
+        While installed, every pop that finds several entries sharing
+        the current time asks ``hook.choose(ready)`` which runs first.
+        The hook is dropped by :meth:`clear` — a reused queue always
+        starts with default FIFO tie-breaking.
         """
-        if hook is not None:
-            raise ConfigurationError(
-                "FlatEventQueue does not support scheduler hooks; use "
-                "Network(core='compat') or install the hook through "
-                "Network.install_scheduler_hook, which migrates pending "
-                "events to the compatible EventQueue first"
-            )
+        self._hook = hook
 
     def __len__(self) -> int:
         return self._len
@@ -404,24 +182,30 @@ class FlatEventQueue:
         """Register the one *bound action* whose arguments ride bare."""
         self._bound = action
 
-    def _append(self, delay: float, item: Any) -> float:
+    def _append_at(self, time: float, item: Any) -> None:
+        """Append *item* to the bucket at absolute *time*.
+
+        The network inlines this on its send paths; keep them in sync.
+        """
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [item]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append(item)
+        self._len += 1
+
+    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
+        """Schedule *action* to run *delay* time units from now.
+
+        Returns the scheduled :class:`Event` (useful in tests).  A zero
+        delay is allowed and preserves scheduling order among same-time
+        events.
+        """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            free = self._free
-            bucket = free.pop() if free else []
-            buckets[time] = bucket
-            heapq.heappush(self._times, time)
-        bucket.append(item)
-        self._len += 1
-        return time
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
-        """Schedule *action* to run *delay* time units from now."""
-        time = self._append(delay, _Local(action, _NO_ARG))
+        self._append_at(time, _Local(action, _NO_ARG))
         seq = self._seq
         self._seq = seq + 1
         return Event(time=time, seq=seq, action=action)
@@ -429,45 +213,70 @@ class FlatEventQueue:
     def schedule_call(
         self, delay: float, action: Callable[[Any], None], arg: Any
     ) -> None:
-        """Schedule ``action(arg)``; bare-stores ``arg`` if *action* is
-        the bound action, else wraps a :class:`_Local`."""
-        if action is self._bound:
-            self._append(delay, arg)
-        else:
-            self._append(delay, _Local(action, arg))
+        """Schedule ``action(arg)`` without wrapping a closure.
+
+        Stores *arg* bare if *action* is the bound action, else wraps a
+        :class:`_Local` (with ``_NO_ARG`` as *arg*, *action* is called
+        without one).
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if action is not self._bound:
+            arg = _Local(action, arg)
+        self._append_at(self._now + delay, arg)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _next_item(self) -> Any:
-        """Consume and return the earliest item, advancing ``now``.
+        """Consume and return the next item, advancing ``now``.
 
         Raises ``IndexError`` on an empty queue (like ``heappop``).
-        The active bucket stays registered in ``_buckets`` until fully
-        drained, so zero-delay schedules land in it and run this pass.
+        With a hook installed, same-time entries scheduled since the
+        active bucket opened are folded into it, and if more than one
+        item is then unconsumed the hook picks (see :meth:`_choose`).
         """
         bucket = self._active
         pos = self._active_pos
-        if bucket is not None:
-            if pos < len(bucket):
-                item = bucket[pos]
-                bucket[pos] = None
-                self._active_pos = pos + 1
+        if pos >= len(bucket):
+            time = heapq.heappop(self._times)
+            bucket = self._active = self._buckets.pop(time)
+            self._now = time
+            pos = self._active_pos = 0
+        if self._hook is not None:
+            later = self._buckets.pop(self._now, None)
+            if later is not None:
+                # Every pending time is >= now, so now is the heap's top.
+                heapq.heappop(self._times)
+                bucket.extend(later)
+            if len(bucket) - pos > 1:
+                item = self._choose(bucket, pos)
                 self._len -= 1
                 return item
-            del self._buckets[self._now]
-            bucket.clear()
-            self._free.append(bucket)
-            self._active = None
-        time = heapq.heappop(self._times)
-        bucket = self._buckets[time]
-        self._now = time
-        self._active = bucket
-        item = bucket[0]
-        bucket[0] = None
-        self._active_pos = 1
+        self._active_pos = pos + 1
         self._len -= 1
-        return item
+        return bucket[pos]
+
+    def _choose(self, bucket: list[Any], pos: int) -> Any:
+        """Let the hook pick among the active bucket's unconsumed items.
+
+        The chosen item is removed from the bucket; the others keep
+        their relative (scheduling) order and stay unconsumed.
+        """
+        now = self._now
+        bound = self._bound
+        ready = [
+            (now, seq, item.action, item.arg)
+            if type(item) is _Local
+            else (now, seq, bound, item)
+            for seq, item in enumerate(bucket[pos:], pos)
+        ]
+        index = self._hook.choose(ready)
+        if not 0 <= index < len(ready):
+            raise IndexError(
+                f"scheduler hook chose {index!r} from {len(ready)} ready entries"
+            )
+        return bucket.pop(pos + index)
 
     def _execute(self, item: Any) -> None:
         if type(item) is _Local:
@@ -500,9 +309,9 @@ class FlatEventQueue:
     def run_many(self, limit: int) -> int:
         """Execute up to *limit* events; return how many ran.
 
-        This is the generic drain loop; the network inlines a fused
-        version per trace level (see
-        :meth:`repro.sim.network.Network.run_until_quiescent`).
+        This is the generic drain loop (and the one hooked runs use);
+        the network inlines a fused version per trace level for clean
+        runs (see :meth:`repro.sim.network.Network.run_until_quiescent`).
         """
         ran = 0
         next_item = self._next_item
@@ -515,13 +324,13 @@ class FlatEventQueue:
     def next_time(self) -> float | None:
         """Timestamp of the earliest pending entry, or ``None`` if empty.
 
-        Mirrors :meth:`EventQueue.next_time`.  An active bucket with
-        unconsumed items answers the current time (zero-delay schedules
-        land in it and run this pass); otherwise the earliest registered
-        bucket time wins.
+        A read-only peek — nothing is consumed and ``now`` does not
+        move.  The synchronous runtime uses this to delimit lockstep
+        rounds.  An active bucket with unconsumed items answers the
+        current time (zero-delay schedules land in it and run this
+        pass); otherwise the earliest registered bucket time wins.
         """
-        active = self._active
-        if active is not None and self._active_pos < len(active):
+        if self._active_pos < len(self._active):
             return self._now
         if self._times:
             return self._times[0]
@@ -530,37 +339,23 @@ class FlatEventQueue:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _pending_in_order(self) -> list[tuple[float, Any]]:
-        """Every pending ``(time, item)`` in execution order.
-
-        Used by the network to migrate a fast queue's backlog onto a
-        compatible :class:`EventQueue` when a hook or fault plan arrives
-        mid-session.
-        """
-        items: list[tuple[float, Any]] = []
-        active = self._active
-        if active is not None:
-            now = self._now
-            for item in active[self._active_pos:]:
-                items.append((now, item))
-        for time in sorted(self._times):
-            for item in self._buckets[time]:
-                items.append((time, item))
-        return items
-
     def clear(self) -> None:
         """Drop all pending events and reset to the initial state.
 
-        Clears in place — the bucket dict and time heap keep their
-        identities, so peers that aliased them stay wired.  The bound
-        action survives (it is construction-time wiring, not run
-        state).
+        Simulated time returns to zero and any installed
+        :class:`SchedulerHook` is removed, so a cleared queue is
+        indistinguishable from a fresh one — a cleared-then-reused queue
+        must not report the stale time of a schedule it abandoned nor
+        replay a previous exploration's tie-break choices.  Clears in
+        place — the bucket dict and time heap keep their identities, so
+        peers that aliased them stay wired.  The bound action survives
+        (it is construction-time wiring, not run state).
         """
         self._buckets.clear()
         self._times.clear()
-        self._free.clear()
-        self._active = None
+        self._active = ()
         self._active_pos = 0
         self._now = 0.0
         self._len = 0
         self._seq = 0
+        self._hook = None

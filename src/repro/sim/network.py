@@ -20,25 +20,23 @@ delivery policy.
 Performance: message delivery is the hot path of every experiment, so the
 network specializes it per :class:`~repro.sim.trace.TraceLevel` at
 construction time — the delivery handler, the policy's ``delay`` method
-and the constant-delay shortcut are pre-bound once, a send schedules a
-``(deliver, message)`` heap entry instead of a closure, and
+and the constant-delay shortcut are pre-bound once, and
 :meth:`run_until_quiescent` checks the event limit per batch rather than
 per event.  ``FULL`` tracing keeps the exact historical behavior;
 ``LOADS`` skips record materialization and payload copies; ``OFF`` skips
 tracing entirely.
 
-Table-driven fast core: by default (``core="auto"``) the network runs on
-a :class:`~repro.sim.events.FlatEventQueue` — messages ride *bare* in
-per-timestamp buckets (no per-event tuple), per-processor ``on_message``
-handlers are resolved once into a dispatch table, and
+The network runs on one :class:`~repro.sim.events.EventQueue`, a bucket
+queue keyed by timestamp: a send appends the message *bare* to its
+delivery time's bucket (no per-event tuple or closure), per-processor
+``on_message`` handlers are resolved once into a dispatch table, and
 :meth:`run_until_quiescent` drains whole buckets in a fused loop with the
-trace updates inlined.  The fast core is observationally identical to the
-compatible ``heapq`` path (byte-identical traces and fingerprints —
-asserted over every registered counter spec in the test suite) but does
-not host :class:`~repro.sim.events.SchedulerHook` tie-breaks or fault
-plans; installing either migrates all pending events onto a compatible
-:class:`~repro.sim.events.EventQueue` and continues there.  Pass
-``core="compat"`` to opt out of the fast core entirely.
+trace updates inlined.  The same queue hosts fault plans (the faulty send
+path appends each copy at the absolute time the plan returns) and
+:class:`~repro.sim.events.SchedulerHook` tie-breaks (while a hook is
+installed, the drain goes through the queue's hook-aware loop).  The
+checked-in trace fingerprints (``tests/golden``) pin the resulting
+delivery orders.
 """
 
 from __future__ import annotations
@@ -47,18 +45,11 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Mapping
 
 from repro.errors import (
-    ConfigurationError,
     DuplicateProcessorError,
     SimulationLimitError,
     UnknownProcessorError,
 )
-from repro.sim.events import (
-    _NO_ARG,
-    EventQueue,
-    FlatEventQueue,
-    SchedulerHook,
-    _Local,
-)
+from repro.sim.events import _NO_ARG, EventQueue, SchedulerHook, _Local
 from repro.sim.faults import FaultPlan
 from repro.sim.messages import NO_OP, Message, MessageRecord, OpIndex, ProcessorId
 from repro.sim.policies import DeliveryPolicy, UnitDelay
@@ -94,13 +85,7 @@ class Network:
             Accepts a :class:`~repro.sim.trace.TraceLevel` or its name.
         fault_plan: optional seeded :class:`~repro.sim.faults.FaultPlan`
             consulted per send (``None`` keeps the failure-free model and
-            the byte-identical fast path).
-        core: event-loop implementation — ``"auto"`` (default; the
-            table-driven fast core, unless a *fault_plan* is given),
-            ``"fast"`` (table-driven core; hooks/faults migrate it to the
-            compatible queue on installation) or ``"compat"`` (the
-            historical ``heapq`` path).  All three produce byte-identical
-            traces.
+            the clean send path).
     """
 
     def __init__(
@@ -109,20 +94,10 @@ class Network:
         event_limit: int = DEFAULT_EVENT_LIMIT,
         trace_level: TraceLevel | str = TraceLevel.FULL,
         fault_plan: FaultPlan | None = None,
-        core: str = "auto",
     ) -> None:
         trace_level = TraceLevel.coerce(trace_level)
-        if core not in ("auto", "fast", "compat"):
-            raise ConfigurationError(
-                f"unknown core {core!r}: expected 'auto', 'fast' or 'compat'"
-            )
-        if core == "auto":
-            core = "compat" if fault_plan is not None else "fast"
-        self._fast = core == "fast"
         self._policy = policy or UnitDelay()
-        self._queue: EventQueue | FlatEventQueue = (
-            FlatEventQueue() if self._fast else EventQueue()
-        )
+        self._queue = EventQueue()
         self._processors: dict[ProcessorId, Processor] = {}
         self._handlers: dict[ProcessorId, Callable[[Message], None]] = {}
         self._trace = Trace(level=trace_level)
@@ -155,19 +130,15 @@ class Network:
         self._received_counts = self._trace._received
         self._op_counts = self._trace._op_counts
         self._footprints = self._trace._footprints
-        # The drain strategy run_until_quiescent uses: a fused
-        # bucket-walking loop per trace level on the fast core, the
-        # queue's own run_many on the compatible core.
-        if self._fast:
-            self._queue.bind(self._deliver)
-            if trace_level is TraceLevel.FULL:
-                self._drain: Callable[[int], int] = self._drain_fast_full
-            elif trace_level is TraceLevel.LOADS:
-                self._drain = self._drain_fast_loads
-            else:
-                self._drain = self._drain_fast_off
+        # The drain run_until_quiescent uses while no scheduler hook is
+        # installed: a fused bucket-walking loop per trace level.
+        self._queue.bind(self._deliver)
+        if trace_level is TraceLevel.FULL:
+            self._drain: Callable[[int], int] = self._drain_full
+        elif trace_level is TraceLevel.LOADS:
+            self._drain = self._drain_loads
         else:
-            self._drain = self._queue.run_many
+            self._drain = self._drain_off
         if fault_plan is not None:
             self.install_fault_plan(fault_plan)
 
@@ -213,16 +184,6 @@ class Network:
     def fault_plan(self) -> FaultPlan | None:
         """The installed fault plan, or ``None`` (the failure-free model)."""
         return self._fault_plan
-
-    @property
-    def core(self) -> str:
-        """The event-loop implementation currently in force.
-
-        ``"fast"`` is the table-driven bucket core; ``"compat"`` the
-        ``heapq`` path.  A network built on the fast core reports
-        ``"compat"`` after a scheduler hook or fault plan migrated it.
-        """
-        return "fast" if self._fast else "compat"
 
     @property
     def run_context(self) -> str:
@@ -272,7 +233,7 @@ class Network:
             )
         processor.attach(self)
         self._processors[processor.pid] = processor
-        # Dispatch table: the fast drain loops jump straight to the
+        # Dispatch table: the fused drain loops jump straight to the
         # handler, skipping the per-message dict + attribute lookups.
         self._handlers[processor.pid] = processor.on_message
         return processor
@@ -292,10 +253,7 @@ class Network:
         without a plan pay nothing and produce byte-identical traces.
         Installing rebinds ``send`` on this instance only.  Install
         before traffic starts; the plan's ledger is per-network-run.
-        Faulty sends schedule through the compatible queue, so a fast
-        core migrates first.
         """
-        self._ensure_compat_core()
         self._fault_plan = plan
         self.send = self._send_faulty  # type: ignore[method-assign]
 
@@ -316,43 +274,12 @@ class Network:
         runs never install one and keep the zero-overhead loop.  Both
         :meth:`reset` and :meth:`EventQueue.clear` drop the hook, so a
         reused substrate cannot leak one exploration's tie-break state
-        into the next run.  The fast core does not arbitrate ties, so
-        installing a hook migrates pending events to the compatible
-        queue first; removing one (``None``) never migrates.
+        into the next run.  While a hook is installed,
+        :meth:`run_until_quiescent` drains through the queue's
+        hook-aware :meth:`~repro.sim.events.EventQueue.run_many` instead
+        of the fused loops.
         """
-        if hook is not None:
-            self._ensure_compat_core()
         self._queue.install_hook(hook)
-
-    # ------------------------------------------------------------------
-    # Core migration
-    # ------------------------------------------------------------------
-    def _ensure_compat_core(self) -> None:
-        """Switch to the compatible ``heapq`` queue, carrying state over.
-
-        Pending entries transfer in execution order onto a fresh
-        :class:`EventQueue` (so their relative order — and therefore the
-        trace — is unchanged), simulated time is preserved, and the
-        drain strategy drops back to the queue's generic loop.  No-op on
-        a network already running the compatible core.
-        """
-        if not self._fast:
-            return
-        old = self._queue
-        new = EventQueue()
-        new._now = old._now
-        heap = new._heap
-        counter = new._counter
-        deliver = self._deliver
-        for time, item in old._pending_in_order():
-            if type(item) is _Local:
-                heappush(heap, (time, next(counter), item.action, item.arg))
-            else:
-                heappush(heap, (time, next(counter), deliver, item))
-        old.clear()
-        self._queue = new
-        self._fast = False
-        self._drain = new.run_many
 
     # ------------------------------------------------------------------
     # Messaging
@@ -393,27 +320,17 @@ class Network:
                 raise ValueError(
                     f"policy {self._policy!r} returned negative delay {delay}"
                 )
-        if self._fast:
-            # Inlined FlatEventQueue._append: the message rides bare in
-            # its time bucket — no per-event tuple, no heap traffic
-            # unless the timestamp is new.
-            time = now + delay
-            buckets = queue._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                free = queue._free
-                bucket = free.pop() if free else []
-                buckets[time] = bucket
-                heappush(queue._times, time)
-            bucket.append(message)
-            queue._len += 1
+        # Inlined EventQueue._append_at: the message rides bare in its
+        # time bucket — no per-event tuple, no heap traffic unless the
+        # timestamp is new.
+        time = now + delay
+        bucket = queue._buckets.get(time)
+        if bucket is None:
+            queue._buckets[time] = [message]
+            heappush(queue._times, time)
         else:
-            # Inlined EventQueue.schedule_call: one send is one heap
-            # entry, with the message riding in it instead of a closure.
-            heappush(
-                queue._heap,
-                (now + delay, next(queue._counter), self._deliver, message),
-            )
+            bucket.append(message)
+        queue._len += 1
         return message
 
     def _send_faulty(
@@ -426,9 +343,9 @@ class Network:
         """The send path with a fault plan installed.
 
         Mirrors :meth:`send` (keep in sync) up to scheduling: the plan
-        is consulted once per message and may drop it (no heap entry, no
+        is consulted once per message and may drop it (no queue entry, no
         in-flight increment — a lost message cannot block quiescence),
-        duplicate it (one heap entry per copy, all sharing the uid),
+        duplicate it (one queue entry per copy, all sharing the uid),
         boost its delay, or rewrite its payload (Byzantine rules: the
         corrupted message is what gets delivered).  Every injected
         fault lands in the plan's ledger and, levels permitting, the
@@ -454,26 +371,38 @@ class Network:
                 raise ValueError(
                     f"policy {self._policy!r} returned negative delay {delay}"
                 )
-        outcome = self._fault_plan.consult(message, now, now + delay)
+        time = now + delay
+        outcome = self._fault_plan.consult(message, now, time)
+        buckets = queue._buckets
         if outcome is None:
+            # Untouched by the plan: exactly the clean send's append.
             self._in_flight += 1
-            heappush(
-                queue._heap,
-                (now + delay, next(queue._counter), self._deliver, message),
-            )
+            bucket = buckets.get(time)
+            if bucket is None:
+                buckets[time] = [message]
+                heappush(queue._times, time)
+            else:
+                bucket.append(message)
+            queue._len += 1
             return message
         trace = self._trace
         for record in outcome.records:
             trace.record_fault(record)
-        deliver = self._deliver
-        counter = queue._counter
-        heap = queue._heap
+        times = outcome.delivery_times
         # A Byzantine rewrite replaces what goes on the wire (same uid,
         # same endpoints); the caller still gets the message it sent.
         delivered = outcome.message if outcome.message is not None else message
-        for time in outcome.delivery_times:
-            self._in_flight += 1
-            heappush(heap, (time, next(counter), deliver, delivered))
+        # Inlined EventQueue._append_at, once per copy at the absolute
+        # time the plan chose.
+        for time in times:
+            bucket = buckets.get(time)
+            if bucket is None:
+                buckets[time] = [delivered]
+                heappush(queue._times, time)
+            else:
+                bucket.append(delivered)
+        self._in_flight += len(times)
+        queue._len += len(times)
         return message
 
     def _deliver_full(self, message: Message) -> None:
@@ -572,7 +501,9 @@ class Network:
             finally:
                 self._active_op = previous_op
 
-        self._queue.schedule(delay, run)
+        # schedule_call, not schedule: no Event view is built for a
+        # timer nobody inspects.
+        self._queue.schedule_call(delay, run, _NO_ARG)
 
     # ------------------------------------------------------------------
     # Execution
@@ -589,9 +520,9 @@ class Network:
         """
         queue = self._queue
         limit = self._event_limit
-        drain = self._drain
         executed = 0
         while queue:
+            drain = self._drain if queue._hook is None else queue.run_many
             batch = limit - self._events_executed + 1
             if batch > _LIMIT_CHECK_BATCH:
                 batch = _LIMIT_CHECK_BATCH
@@ -638,22 +569,22 @@ class Network:
             context=context,
         )
 
-    def _drain_fast_off(self, limit: int) -> int:
+    def _drain_off(self, limit: int) -> int:
         """Fused bucket drain, ``OFF`` tracing: dispatch and nothing else.
 
-        Walks the fast queue's buckets in time order with the queue's
-        cursor held in locals; messages jump straight to the dispatch
+        Walks the queue's buckets in time order with the queue's
+        cursor held in locals (see :class:`~repro.sim.events.EventQueue`
+        for the bucket layout); messages jump straight to the dispatch
         table.  Queue length, the in-flight count and the active
         operation are reconciled once in the ``finally`` — ``send``
         updates ``_len``/``_in_flight`` through the instance during the
         loop, so only this loop's own deltas are applied there.  Keep
-        the three ``_drain_fast_*`` variants in sync; they differ only
+        the three ``_drain_*`` variants in sync; they differ only
         in the inlined trace updates.
         """
         queue = self._queue
         buckets = queue._buckets
         times = queue._times
-        free = queue._free
         handlers = self._handlers
         bucket = queue._active
         pos = queue._active_pos
@@ -662,22 +593,16 @@ class Network:
         previous_op = self._active_op
         try:
             while ran < limit:
-                if bucket is None or pos >= len(bucket):
-                    if bucket is not None:
-                        del buckets[queue._now]
-                        bucket.clear()
-                        free.append(bucket)
-                        bucket = queue._active = None
+                if pos >= len(bucket):
                     if not times:
                         break
+                    # A registered bucket is never empty: fall through
+                    # to its first item.
                     time = heappop(times)
-                    bucket = buckets[time]
+                    bucket = queue._active = buckets.pop(time)
                     queue._now = time
-                    queue._active = bucket
                     pos = 0
-                    continue
                 item = bucket[pos]
-                bucket[pos] = None
                 pos += 1
                 ran += 1
                 if type(item) is _Local:
@@ -694,23 +619,22 @@ class Network:
                         self._active_op = op_index
                     handlers[item[1]](item)
         finally:
-            queue._active_pos = pos if bucket is not None else 0
+            queue._active_pos = pos
             queue._len -= ran
             self._in_flight -= delivered
             self._active_op = previous_op
         return ran
 
-    def _drain_fast_loads(self, limit: int) -> int:
+    def _drain_loads(self, limit: int) -> int:
         """Fused bucket drain, ``LOADS`` tracing.
 
-        :meth:`_drain_fast_off` plus the columnar counter updates of
+        :meth:`_drain_off` plus the columnar counter updates of
         :meth:`~repro.sim.trace.Trace.count` inlined onto the pre-bound
         dicts (keep in sync with it and with :meth:`_deliver_loads`).
         """
         queue = self._queue
         buckets = queue._buckets
         times = queue._times
-        free = queue._free
         handlers = self._handlers
         trace = self._trace
         sent_counts = self._sent_counts
@@ -724,22 +648,16 @@ class Network:
         previous_op = self._active_op
         try:
             while ran < limit:
-                if bucket is None or pos >= len(bucket):
-                    if bucket is not None:
-                        del buckets[queue._now]
-                        bucket.clear()
-                        free.append(bucket)
-                        bucket = queue._active = None
+                if pos >= len(bucket):
                     if not times:
                         break
+                    # A registered bucket is never empty: fall through
+                    # to its first item.
                     time = heappop(times)
-                    bucket = buckets[time]
+                    bucket = queue._active = buckets.pop(time)
                     queue._now = time
-                    queue._active = bucket
                     pos = 0
-                    continue
                 item = bucket[pos]
-                bucket[pos] = None
                 pos += 1
                 ran += 1
                 if type(item) is _Local:
@@ -769,16 +687,16 @@ class Network:
                         self._active_op = op_index
                     handlers[pid](item)
         finally:
-            queue._active_pos = pos if bucket is not None else 0
+            queue._active_pos = pos
             queue._len -= ran
             self._in_flight -= delivered
             self._active_op = previous_op
         return ran
 
-    def _drain_fast_full(self, limit: int) -> int:
+    def _drain_full(self, limit: int) -> int:
         """Fused bucket drain, ``FULL`` tracing.
 
-        :meth:`_drain_fast_off` plus record materialization and
+        :meth:`_drain_off` plus record materialization and
         :meth:`~repro.sim.trace.Trace.record` inlined (keep in sync with
         it and with :meth:`_deliver_full`) — unlike ``LOADS``, FULL
         indexes ``NO_OP`` traffic in the per-operation views too.
@@ -786,7 +704,6 @@ class Network:
         queue = self._queue
         buckets = queue._buckets
         times = queue._times
-        free = queue._free
         handlers = self._handlers
         trace = self._trace
         records = trace._records
@@ -802,22 +719,16 @@ class Network:
         previous_op = self._active_op
         try:
             while ran < limit:
-                if bucket is None or pos >= len(bucket):
-                    if bucket is not None:
-                        del buckets[queue._now]
-                        bucket.clear()
-                        free.append(bucket)
-                        bucket = queue._active = None
+                if pos >= len(bucket):
                     if not times:
                         break
+                    # A registered bucket is never empty: fall through
+                    # to its first item.
                     time = heappop(times)
-                    bucket = buckets[time]
+                    bucket = queue._active = buckets.pop(time)
                     queue._now = time
-                    queue._active = bucket
                     pos = 0
-                    continue
                 item = bucket[pos]
-                bucket[pos] = None
                 pos += 1
                 ran += 1
                 if type(item) is _Local:
@@ -860,7 +771,7 @@ class Network:
                         self._active_op = op_index
                     handlers[pid](item)
         finally:
-            queue._active_pos = pos if bucket is not None else 0
+            queue._active_pos = pos
             queue._len -= ran
             self._in_flight -= delivered
             self._active_op = previous_op

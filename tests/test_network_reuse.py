@@ -5,12 +5,21 @@ consecutive runs.  `reset()` must return the substrate to a
 from-scratch state — time, uids, in-flight accounting, trace counters,
 policy stream and fault-plan ledger — so run N+1 is byte-identical to a
 fresh network's run, including under an installed FaultPlan.
+
+Also pinned here: one event queue serves clean, hooked and faulty runs,
+so installing a hook or a fault plan mid-session keeps every pending
+event, a FIFO hook (the hook-aware drain) reproduces the fused drain's
+trace, and deepcopy/reset/event-limit behave the same on every path.
 """
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.errors import SimulationLimitError
+from repro.registry import RunSession, registered_names
 from repro.sim.events import EventQueue
 from repro.sim.faults import parse_fault_spec
 from repro.sim.messages import NO_OP
@@ -236,3 +245,102 @@ class TestNetworkResetUnderFaults:
         assert "send" in network.__dict__  # still the faulty variant
         _blast(network)
         assert sum(network.fault_plan.counts.values()) > 0
+
+
+class _FifoHook:
+    """A do-nothing arbiter: always picks the default (FIFO) candidate."""
+
+    def choose(self, ready):
+        return 0
+
+
+def _loaded_network():
+    network = Network(trace_level="FULL")
+    network.register_all([InertProcessor(pid) for pid in range(1, 5)])
+    for index in range(12):
+        network.send((index % 4) + 1, ((index + 1) % 4) + 1, "m", {"i": index})
+    network.inject(lambda: None, op_index=3, delay=0.5)
+    return network
+
+
+class TestOneQueueForEveryRun:
+    def test_hook_install_keeps_pending_events(self):
+        network = _loaded_network()
+        queue = network._queue
+        pending = len(queue)
+        baseline = _loaded_network()
+        network.install_scheduler_hook(_FifoHook())
+        assert network._queue is queue
+        assert len(queue) == pending
+        network.run_until_quiescent()
+        baseline.run_until_quiescent()
+        # A FIFO hook must not change the schedule: byte-identical trace.
+        assert network.trace.records == baseline.trace.records
+        assert network.now == baseline.now
+
+    def test_fault_plan_install_keeps_pending_events(self):
+        network = _loaded_network()
+        queue = network._queue
+        network.install_fault_plan(parse_fault_spec("dup=0.0", seed=1))
+        assert network._queue is queue
+        assert network.run_until_quiescent() == 13
+        assert network.in_flight == 0
+
+    @pytest.mark.parametrize("spec", registered_names())
+    def test_fifo_hook_reproduces_the_fused_drain(self, spec):
+        # quorum[maekawa] needs a perfect square.
+        n = 9 if spec == "quorum[maekawa]" else 8
+        plain = RunSession(spec, n, policy="random", seed=2)
+        plain.run_sequence()
+        hooked = RunSession(spec, n, policy="random", seed=2)
+        hooked.network.install_scheduler_hook(_FifoHook())
+        hooked.run_sequence()
+        assert hooked.network.trace.fingerprint() == plain.network.trace.fingerprint()
+        assert hooked.network.events_executed == plain.network.events_executed
+
+    def test_deepcopy_preserves_dispatch_wiring(self):
+        network = Network(trace_level="FULL")
+        network.register_all([InertProcessor(pid) for pid in range(1, 3)])
+        network.send(1, 2, "m", {})
+        clone = copy.deepcopy(network)
+        clone.run_until_quiescent()
+        network.run_until_quiescent()
+        assert clone.trace.records == network.trace.records
+        # The clone's handlers dispatch to the clone's processors.
+        assert clone._handlers[2].__self__ is clone.processor(2)
+
+    def test_hook_removal_keeps_the_queue(self):
+        network = Network()
+        queue = network._queue
+        network.install_scheduler_hook(None)
+        assert network._queue is queue
+        assert queue.scheduler_hook is None
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_reset_reuses_the_queue(self, hooked):
+        network = Network()
+        network.register_all([InertProcessor(pid) for pid in range(1, 3)])
+        queue = network._queue
+        if hooked:
+            network.install_scheduler_hook(_FifoHook())
+        network.send(1, 2, "m", {})
+        network.run_until_quiescent()
+        network.reset()
+        assert network._queue is queue
+        assert queue.scheduler_hook is None
+        assert len(queue) == 0 and queue.now == 0.0
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_event_limit_still_enforced(self, hooked):
+        class Bouncer(InertProcessor):
+            def on_message(self, message):
+                self.send(message[0], "m", {})
+
+        network = Network(trace_level="OFF", event_limit=500)
+        network.register_all([Bouncer(1), Bouncer(2)])
+        if hooked:
+            network.install_scheduler_hook(_FifoHook())
+        network.send(1, 2, "m", {})
+        with pytest.raises(SimulationLimitError):
+            network.run_until_quiescent()
+        assert network.events_executed == 501

@@ -12,7 +12,9 @@ import asyncio
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.core import TreeCounter
+from repro.counters import CentralCounter, CombiningTreeCounter
+from repro.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.registry import RunSession, registered_names
 from repro.runtime import (
     RUNTIME_NAMES,
@@ -23,6 +25,12 @@ from repro.runtime import (
 )
 from repro.sim.network import Network
 from repro.sim.processor import InertProcessor
+from repro.workloads import (
+    one_shot,
+    run_concurrent_async,
+    run_sequence,
+    run_sequence_async,
+)
 
 ALL_SPECS = registered_names()
 
@@ -48,9 +56,6 @@ class TestFactory:
 
     def test_sim_names_map_to_simulated(self):
         assert isinstance(make_runtime("sim", Network()), SimulatedRuntime)
-        assert isinstance(
-            make_runtime("sim-compat", Network()), SimulatedRuntime
-        )
 
     def test_asyncio_name_maps_to_asyncio(self):
         runtime = make_runtime(
@@ -63,6 +68,12 @@ class TestFactory:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown runtime"):
             make_runtime("threads", Network())
+
+    def test_asyncio_factory_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="time_scale"):
+            make_runtime("asyncio", Network(), time_scale=-1.0)
+        with pytest.raises(ValueError, match="yield_every"):
+            make_runtime("asyncio", Network(), yield_every=0)
 
 
 class TestSimulatedRuntime:
@@ -89,7 +100,6 @@ class TestSimulatedRuntime:
         assert runtime.network is network
         assert runtime.trace is network.trace
         assert runtime.now == network.now
-        assert runtime.core == network.core
         assert not runtime.is_async
 
 
@@ -175,21 +185,102 @@ class TestAsyncioRuntime:
         # the injected action plus the message it sends
         assert asyncio.run(runtime.drain()) == 2
 
+    def test_is_a_runtime_with_its_parameters(self):
+        runtime = AsyncioRuntime(Network(), time_scale=0.25, yield_every=8)
+        assert isinstance(runtime, Runtime)
+        assert runtime.is_async
+        assert runtime.time_scale == 0.25
+        assert runtime.yield_every == 8
+
+    def test_drain_delivers_every_outcome(self):
+        network = Network()
+        counter = CentralCounter(network, 4)
+        for pid in counter.client_ids():
+            counter.begin_inc(pid, pid - 1)
+
+        executed = asyncio.run(AsyncioRuntime(network).drain())
+        assert executed == network.events_executed > 0
+        assert sorted(
+            outcome
+            for pid in counter.client_ids()
+            for outcome in counter.results_for(pid)
+        ) == list(range(4))
+
+    def test_values_match_sync_semantics(self):
+        async def go():
+            counter = CentralCounter(Network(), 12)
+            return await run_sequence_async(counter, one_shot(12))
+
+        assert asyncio.run(go()).values() == list(range(12))
+
+    def test_trace_identical_to_sync_runner(self):
+        sync_result = run_sequence(TreeCounter(Network(), 27), one_shot(27))
+
+        async def go():
+            counter = TreeCounter(Network(), 27)
+            return await run_sequence_async(counter, one_shot(27))
+
+        async_result = asyncio.run(go())
+        assert async_result.trace.loads() == sync_result.trace.loads()
+        assert async_result.total_messages == sync_result.total_messages
+
+    def test_concurrent_batch(self):
+        async def go():
+            counter = CombiningTreeCounter(Network(), 16)
+            return await run_concurrent_async(counter, one_shot(16))
+
+        result = asyncio.run(go())
+        assert sorted(o.value for o in result.outcomes) == list(range(16))
+
+    def test_drain_on_an_empty_network(self):
+        assert asyncio.run(AsyncioRuntime(Network()).drain()) == 0
+
+    def test_time_scale_preserves_results(self):
+        session = RunSession("central", 4, runtime="asyncio", time_scale=0.001)
+        assert session.run_sequence().values() == [0, 1, 2, 3]
+
+    def test_other_tasks_interleave(self):
+        ticks = []
+
+        async def ticker():
+            for _ in range(20):
+                ticks.append(1)
+                await asyncio.sleep(0)
+
+        async def go():
+            network = Network()
+            counter = TreeCounter(network, 81)
+            task = asyncio.ensure_future(ticker())
+            result = await run_sequence_async(
+                counter, one_shot(81), runtime=AsyncioRuntime(network)
+            )
+            await task
+            return result
+
+        result = asyncio.run(go())
+        assert result.values() == list(range(81))
+        assert len(ticks) == 20
+
+    def test_broken_counter_detected(self):
+        class Silent(CentralCounter):
+            def begin_inc(self, pid, op_index):
+                pass
+
+        async def go():
+            network = Network()
+            counter = Silent(network, 3)
+            await run_sequence_async(
+                counter, one_shot(3), runtime=AsyncioRuntime(network)
+            )
+
+        with pytest.raises(ProtocolError):
+            asyncio.run(go())
+
 
 class TestRunSessionSelection:
     def test_default_runtime_is_sim(self):
         session = RunSession("central", 4)
         assert isinstance(session.runtime, SimulatedRuntime)
-        assert session.runtime.core == "fast"
-
-    def test_sim_compat_forces_compat_core(self):
-        session = RunSession("central", 4, runtime="sim-compat")
-        assert isinstance(session.runtime, SimulatedRuntime)
-        assert session.network.core == "compat"
-
-    def test_sim_compat_conflicts_with_fast_core(self):
-        with pytest.raises(ConfigurationError, match="sim-compat"):
-            RunSession("central", 4, runtime="sim-compat", core="fast")
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown runtime"):
